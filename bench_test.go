@@ -1,10 +1,10 @@
 // Package repro_test holds the benchmark harness: one BenchmarkE* per
-// experiment in DESIGN.md's index (E1–E14). Each bench measures the
-// inner operation of its experiment and reports the experiment's shape
-// metric (schema size, precision, coverage, hit rate, ...) via
-// b.ReportMetric, so `go test -bench=. -benchmem` regenerates every
-// row the paper-claim tables rest on; `cmd/jsbench` prints the full
-// tables.
+// experiment of internal/experiments (E1–E14, the tables cmd/jsbench
+// prints). Each bench measures the inner operation of its experiment
+// and reports the experiment's shape metric (schema size, precision,
+// coverage, hit rate, ...) via b.ReportMetric, so
+// `go test -bench=. -benchmem` regenerates every row the paper-claim
+// tables rest on; `cmd/jsbench` prints the full tables.
 package repro_test
 
 import (

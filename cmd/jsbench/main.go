@@ -1,6 +1,6 @@
-// Command jsbench regenerates every experiment table of DESIGN.md's
-// experiment index (E1–E14) and prints them — the harness behind
-// EXPERIMENTS.md. Run a subset with -only (comma-separated IDs).
+// Command jsbench regenerates every experiment table of the
+// internal/experiments harness (E1–E14) and prints them. Run a subset
+// with -only (comma-separated IDs).
 //
 // Usage:
 //

@@ -3,11 +3,11 @@
 // stream on stdin, extracts the benchmark result lines, and writes one
 // JSON array of rows — name, iterations, ns/op, MB/s, B/op, allocs/op
 // — to the -out file (stdout with -out -). The Makefile's bench-json
-// target drives it to emit BENCH_6.json, the perf-trajectory artifact
+// target drives it to emit BENCH_10.json, the perf-trajectory artifact
 // CI uploads on every build:
 //
 //	go test -run '^$' -bench BenchmarkE3StreamingInference -benchmem -json . |
-//	    go run repro/cmd/jsbenchjson -out BENCH_6.json
+//	    go run repro/cmd/jsbenchjson -out BENCH_10.json
 //
 // Only rows are recorded — test2json wraps every output line in an
 // event, so the filter keys on the canonical `BenchmarkName<tab>...`

@@ -1,10 +1,10 @@
-// Package experiments implements the evaluation harness of DESIGN.md:
-// one runnable experiment per quantitative claim the tutorial makes
-// about the surveyed systems (the tutorial itself, being a tutorial,
-// has no numbered tables or figures — see DESIGN.md's experiment
-// index). Each experiment builds its workload, runs the systems under
-// comparison, and returns a printable table; cmd/jsbench prints them
-// all and EXPERIMENTS.md records the measured outcomes.
+// Package experiments implements the evaluation harness: one runnable
+// experiment per quantitative claim the tutorial makes about the
+// surveyed systems (the tutorial itself, being a tutorial, has no
+// numbered tables or figures, so the E1–E14 functions here are the
+// experiment index). Each experiment builds its workload, runs the
+// systems under comparison, and returns a printable table; cmd/jsbench
+// prints them all.
 package experiments
 
 import (

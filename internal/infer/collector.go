@@ -41,6 +41,17 @@ const maxAutoShards = 8
 // visibility much.
 const collectorBatch = 8
 
+// leafQueue is how many messages may wait on a leaf: one ready for the
+// leaf to take when it finishes the message in hand, one more to absorb
+// scheduling jitter. A message carries sealed chunk types, and on wide
+// data (a K record over a few thousand fields) each is hundreds of
+// kilobytes, so the queue is part of the reduce's in-flight memory. A
+// deeper queue buys no throughput: once the map phase outruns the
+// leaves it only parks more sealed types in front of them. When the
+// queue is full the sender blocks, and the back-pressure reaches the
+// workers and the source through their own bounded channels.
+const leafQueue = 2
+
 // leafState is a leaf's published partial: the merged type and document
 // count of everything folded so far, plus a generation that bumps on
 // every publish (the root's cache key).
@@ -129,18 +140,18 @@ func (l *leafCollector) run(e typelang.Equiv, poke chan<- struct{}, st *Pipeline
 }
 
 // ShardedCollector is the collector tree. Add distributes chunk results
-// round-robin across the leaves (each Add is one channel send — the
-// caller never does merge work), Snapshot reads a consistent-per-leaf
-// view without blocking any leaf, Flush makes everything already added
-// visible to subsequent snapshots, and Close drains the tree and returns
-// the final fold.
+// round-robin, in blocks of collectorBatch, across the leaves (each Add
+// is one channel send — the caller never does merge work), Snapshot
+// reads a consistent-per-leaf view without blocking any leaf, Flush
+// makes everything already added visible to subsequent snapshots, and
+// Close drains the tree and returns the final fold.
 //
 // Add and Snapshot may be called concurrently from any number of
 // goroutines. Add after Close panics.
 type ShardedCollector struct {
 	equiv  typelang.Equiv
 	leaves []*leafCollector
-	rr     atomic.Uint64
+	rr     atomic.Uint64 // chunk types dealt so far (leafFor)
 	poke   chan struct{}
 	fused  chan struct{} // closed when the root fuser exits
 
@@ -188,7 +199,7 @@ func NewShardedCollectorStats(shards int, e typelang.Equiv, st *PipelineStats) *
 	}
 	for i := range c.leaves {
 		l := &leafCollector{
-			in:   make(chan leafMsg, 2*collectorBatch),
+			in:   make(chan leafMsg, leafQueue),
 			done: make(chan struct{}),
 		}
 		l.state.Store(&leafState{acc: typelang.Bottom})
@@ -242,11 +253,21 @@ func gensNewer(a, b []uint64) bool {
 }
 
 // Add folds one chunk result (its merged type and document count) into
-// the tree. It distributes round-robin and costs the caller one channel
-// send; the merge work happens on the leaf goroutines.
+// the tree. It costs the caller one channel send to the leaf leafFor
+// picks; the merge work happens on the leaf goroutines.
 func (c *ShardedCollector) Add(t *typelang.Type, docs int64) {
-	i := c.rr.Add(1) - 1
-	c.leaves[i%uint64(len(c.leaves))].in <- leafMsg{t: t, docs: docs}
+	c.leafFor(1).in <- leafMsg{t: t, docs: docs}
+}
+
+// leafFor picks the leaf for the next n chunk types. Types are dealt
+// round-robin in blocks of collectorBatch, a leaf's publish cadence, so
+// a block fills exactly one publish. Dealing one result per leaf in
+// turn would leave every leaf a partial batch to publish at Flush or
+// Close, each one more seal of the leaf's whole partial and one more
+// root fuse.
+func (c *ShardedCollector) leafFor(n int) *leafCollector {
+	i := c.rr.Add(uint64(n)) - uint64(n)
+	return c.leaves[(i/collectorBatch)%uint64(len(c.leaves))]
 }
 
 // AddBatch folds a batch of chunk results — their types and total
@@ -254,14 +275,13 @@ func (c *ShardedCollector) Add(t *typelang.Type, docs int64) {
 // batch lands on one leaf, so snapshot monotonicity and the final fold
 // are exactly as if each type had been Added individually (the merge is
 // associative and commutative). The collector takes ownership of ts.
-// The batched ingest path commits through this: one hand-off per
-// committer batch instead of one per chunk.
+// The chunked engines commit through this: one hand-off per run of
+// in-order chunk results.
 func (c *ShardedCollector) AddBatch(ts []*typelang.Type, docs int64) {
 	if len(ts) == 0 && docs == 0 {
 		return
 	}
-	i := c.rr.Add(1) - 1
-	c.leaves[i%uint64(len(c.leaves))].in <- leafMsg{ts: ts, docs: docs}
+	c.leafFor(len(ts)).in <- leafMsg{ts: ts, docs: docs}
 }
 
 // Flush blocks until every Add that happened before the call is folded

@@ -543,15 +543,6 @@ func InferStreamInto(r io.Reader, opts Options, col *ShardedCollector) (int, err
 	})
 }
 
-// commitBatch is how many in-order chunk results the committer buffers
-// per commit call: one collector hand-off (one channel send, one
-// round-robin step) then carries a batch of sealed partials instead of
-// one, cutting the per-chunk commit overhead that contributed to the
-// parallel engines' flat scaling. Error semantics are unaffected — the
-// buffer holds only already-committed (in-order, pre-error) results and
-// is flushed before the error is recorded.
-const commitBatch = 8
-
 // inferStreamChunks runs the chunked token pipeline — a source
 // goroutine splitting the input into document-aligned chunks, workers
 // lexing and typing them in parallel — and calls commit with batches of
@@ -680,9 +671,14 @@ func inferStreamChunks(source chunkSource, opts Options, commit func([]*typelang
 	}()
 
 	// Committer: release chunk results in stream order for exact error
-	// and count semantics, buffering up to commitBatch in-order results
-	// per commit call. The bookkeeping here is cheap — the merge work
-	// happens in commit's collector (sharded or in-line).
+	// and count semantics. Each arriving result commits the run of
+	// in-order results it completes, in one commit call: a result that
+	// was waiting on an earlier chunk goes out with it, and nothing is
+	// held back to fill a batch. Sealed chunk types can be large (a K
+	// record over thousands of fields), so between the workers and the
+	// collector there are never more of them than the workers have
+	// finished. The bookkeeping here is cheap — the merge work happens
+	// in commit's collector (sharded or in-line).
 	var (
 		pending     = make(map[int]chunkResult)
 		next        int
@@ -712,15 +708,9 @@ func inferStreamChunks(source chunkSource, opts Options, commit func([]*typelang
 			if firstErr != nil {
 				continue
 			}
-			if batch == nil {
-				batch = make([]*typelang.Type, 0, commitBatch)
-			}
 			batch = append(batch, cr.t)
 			batchDocs += cr.n
 			total += cr.n
-			if len(batch) == commitBatch {
-				flush()
-			}
 			if cr.err != nil {
 				flush()
 				firstErr = cr.err
@@ -731,8 +721,8 @@ func inferStreamChunks(source chunkSource, opts Options, commit func([]*typelang
 				}
 			}
 		}
+		flush()
 	}
-	flush()
 	// A read failure truncates the final chunk, and the syntax error the
 	// worker reports on that cut is an artifact of the failed read, not
 	// of the data — so the I/O error wins over an error in the last

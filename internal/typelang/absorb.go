@@ -85,11 +85,10 @@ func (t Target) BeginArray() Target {
 		}
 		return Target{acc: a, n: a.stageArr}
 	}
-	n := t.n
-	if n.arr == nil {
-		n.arr = &arrayAccum{}
-	}
-	return Target{acc: t.acc, n: &n.arr.elem}
+	// The bucket goes live before any element lands in it: an array
+	// abandoned below the root leaves elements behind for the enclosing
+	// frame's reset to clear, and reset only visits live buckets.
+	return Target{acc: t.acc, n: &t.n.array().elem}
 }
 
 // EndArray commits the array opened by BeginArray on t, with n the
@@ -101,11 +100,9 @@ func (t Target) EndArray(n int) {
 	if t.root {
 		a := t.acc
 		if !nd.haveAny {
-			if nd.arr == nil {
-				nd.arr = &arrayAccum{}
-			}
-			nd.arr.extend(n)
-			nd.arr.elem.absorbNode(a.stageArr, a.equiv)
+			arr := nd.array()
+			arr.extend(n)
+			arr.elem.absorbNode(a.stageArr, a.equiv)
 		}
 		a.stageArr.reset()
 		a.gen++
@@ -255,35 +252,21 @@ func compareStagedNames(a, b stagedField) int { return strings.Compare(a.name, b
 // nothing (the real key string is made only when a new group is born).
 func (n *accumNode) stagedGroup(fields []stagedField, a *Accum) *recordAccum {
 	if a.equiv == EquivKind {
-		if len(n.recs) == 0 {
-			n.recs = append(n.recs, &recordAccum{})
-		}
-		return n.recs[0]
+		return n.use(n.kindGroup())
 	}
 	if n.recIndex != nil {
 		key := a.stagedKey(fields)
 		if ra := n.recIndex[string(key)]; ra != nil {
-			return ra
+			return n.use(ra)
 		}
-		ra := &recordAccum{key: string(key), keyValid: true}
-		n.recs = append(n.recs, ra)
-		n.recIndex[ra.key] = ra
-		return ra
+		return n.use(n.newGroup(string(key)))
 	}
 	for _, ra := range n.recs {
 		if ra.sameStagedLabels(fields) {
-			return ra
+			return n.use(ra)
 		}
 	}
-	ra := &recordAccum{key: string(a.stagedKey(fields)), keyValid: true}
-	n.recs = append(n.recs, ra)
-	if len(n.recs) > smallRecordGroups {
-		n.recIndex = make(map[string]*recordAccum, 2*len(n.recs))
-		for _, g := range n.recs {
-			n.recIndex[g.labelKey()] = g
-		}
-	}
-	return ra
+	return n.use(n.newGroup(string(a.stagedKey(fields))))
 }
 
 // stagedKey renders the staged label set exactly as labelKey does, into
@@ -316,27 +299,18 @@ func (ra *recordAccum) sameStagedLabels(fields []stagedField) bool {
 
 // absorbStaged merges the staged (sorted, duplicate-free) fields into
 // the group's field table — recordAccum.absorb without the canonical
-// detour: each staged field bumps its slot and absorbs its staged node
-// in place.
+// detour: each staged field seeks its slot (galloping, so a document of
+// a few fields costs O(fields · log table) against a wide table), bumps
+// it and absorbs its staged node in place.
 func (ra *recordAccum) absorbStaged(fields []stagedField, e Equiv) {
-	fs := ra.fields
 	i := 0
 	for j := range fields {
 		sf := &fields[j]
-		for i < len(fs) && fs[i].name < sf.name {
-			i++
-		}
-		if i == len(fs) || fs[i].name != sf.name {
-			fs = slices.Insert(fs, i, fieldAccum{name: sf.name})
-			ra.keyValid = false
-		}
-		fa := &fs[i]
+		fa, k := ra.enter(i, sf.name, 1)
 		fa.count++
-		fa.seenIn++
 		fa.node.absorbNode(sf.node, e)
-		i++
+		i = k + 1
 	}
-	ra.fields = fs
 }
 
 // getNode takes a (reset, empty) node from the staging pool.
@@ -351,7 +325,10 @@ func (a *Accum) getNode() *accumNode {
 
 // releaseOpen returns an open record and its staged nodes to their
 // pools, reset (storage retained) so the next document of the same
-// shape stages without allocating.
+// shape stages without allocating. A pooled node keeps every shape it
+// ever staged, but its reset visits only what this document wrote
+// (accumNode.reset), so the per-document cost does not grow with the
+// stream.
 func (a *Accum) releaseOpen(r *OpenRecord) {
 	for i := range r.fields {
 		r.fields[i].node.reset()
@@ -397,15 +374,9 @@ func (dst *accumNode) absorbNode(src *accumNode, e Equiv) {
 		dst.strCount += src.strCount
 	}
 	if src.arr != nil && src.arr.n > 0 {
-		if dst.arr == nil {
-			dst.arr = &arrayAccum{}
-		}
-		dst.arr.absorbNodeArr(src.arr, e)
+		dst.array().absorbNodeArr(src.arr, e)
 	}
-	for _, sra := range src.recs {
-		if sra.nrecs == 0 {
-			continue // dead group retained across a reset
-		}
+	for _, sra := range src.recs[:src.live] {
 		dra := dst.accumGroup(sra, e)
 		dra.nrecs += sra.nrecs
 		dra.count += sra.count
@@ -437,35 +408,21 @@ func (a *arrayAccum) absorbNodeArr(src *arrayAccum, e Equiv) {
 // live group's field table is exactly its label set on both sides.
 func (n *accumNode) accumGroup(src *recordAccum, e Equiv) *recordAccum {
 	if e == EquivKind {
-		if len(n.recs) == 0 {
-			n.recs = append(n.recs, &recordAccum{})
-		}
-		return n.recs[0]
+		return n.use(n.kindGroup())
 	}
 	if n.recIndex != nil {
 		key := src.labelKey()
 		if ra := n.recIndex[key]; ra != nil {
-			return ra
+			return n.use(ra)
 		}
-		ra := &recordAccum{key: key, keyValid: true}
-		n.recs = append(n.recs, ra)
-		n.recIndex[key] = ra
-		return ra
+		return n.use(n.newGroup(key))
 	}
 	for _, ra := range n.recs {
 		if ra.sameAccumLabels(src) {
-			return ra
+			return n.use(ra)
 		}
 	}
-	ra := &recordAccum{key: src.labelKey(), keyValid: true}
-	n.recs = append(n.recs, ra)
-	if len(n.recs) > smallRecordGroups {
-		n.recIndex = make(map[string]*recordAccum, 2*len(n.recs))
-		for _, g := range n.recs {
-			n.recIndex[g.labelKey()] = g
-		}
-	}
-	return ra
+	return n.use(n.newGroup(src.labelKey()))
 }
 
 // sameAccumLabels compares two live groups' label sets.
@@ -484,28 +441,17 @@ func (ra *recordAccum) sameAccumLabels(src *recordAccum) bool {
 // absorbAccum merges one record group into another: the sorted-merge
 // walk of absorbStaged generalised to counted slots — counts, seen
 // totals and optionality flags add, exactly as absorbing the source's
-// sealed record would.
+// sealed record would. It walks the source's live slots only, in table
+// order, so a source table grown by history costs what is live in it.
 func (ra *recordAccum) absorbAccum(src *recordAccum, e Equiv) {
-	fs := ra.fields
+	src.sortLive()
 	i := 0
-	for j := range src.fields {
-		sf := &src.fields[j]
-		if sf.seenIn == 0 {
-			continue // dead slot retained across a reset
-		}
-		for i < len(fs) && fs[i].name < sf.name {
-			i++
-		}
-		if i == len(fs) || fs[i].name != sf.name {
-			fs = slices.Insert(fs, i, fieldAccum{name: sf.name})
-			ra.keyValid = false
-		}
-		fa := &fs[i]
+	for j := range src.liveLen() {
+		sf := src.liveAt(j)
+		fa, k := ra.enter(i, sf.name, sf.seenIn)
 		fa.count += sf.count
 		fa.optional = fa.optional || sf.optional
-		fa.seenIn += sf.seenIn
 		fa.node.absorbNode(&sf.node, e)
-		i++
+		i = k + 1
 	}
-	ra.fields = fs
 }

@@ -94,8 +94,12 @@ func (a *Accum) Seal() *Type {
 
 // Reset empties the accumulator for reuse, retaining the bucket and
 // field-table storage of the shapes it has seen so a worker absorbing
-// similar chunks allocates nothing on the next round. Previously sealed
-// types remain valid (they never alias accumulator state).
+// similar chunks allocates nothing on the next round. Its cost is
+// proportional to the state touched since the last Reset, not to the
+// retained storage: only live record groups and live field slots are
+// visited (see accumNode.reset for the invariant that makes this
+// sound). Previously sealed types remain valid (they never alias
+// accumulator state).
 func (a *Accum) Reset() {
 	a.node.reset()
 	if a.stageArr != nil {
@@ -138,15 +142,22 @@ type accumNode struct {
 	arr *arrayAccum
 
 	// recs are the record groups: exactly one under K (records always
-	// fuse); one per label set under L, in arrival order, sorted by
-	// label key at seal. Lookup on absorb is a linear scan while the
-	// groups are few (the common case; the scan is cheap — label sets
-	// differ in length most of the time, and equal field names are
-	// pointer-equal when the map phase interns them) and switches to
-	// recIndex, a label-key map, past smallRecordGroups — the hashed
-	// grouping the reference fold uses, so high-cardinality L data
-	// stays linear in documents instead of going quadratic in groups.
+	// fuse); one per label set under L, sorted by label key at seal.
+	// Lookup on absorb is a linear scan while the groups are few (the
+	// common case; the scan is cheap — label sets differ in length most
+	// of the time, and equal field names are pointer-equal when the map
+	// phase interns them) and switches to recIndex, a label-key map,
+	// past smallRecordGroups — the hashed grouping the reference fold
+	// uses, so high-cardinality L data stays linear in documents instead
+	// of going quadratic in groups.
+	//
+	// recs[:live] are the live groups (nrecs > 0); recs[live:] are dead
+	// groups retained across a reset. A dead group holds only clean
+	// storage: use moves a group into the live prefix before its nrecs
+	// is bumped and before anything below it is written, so reset, seal
+	// and absorbNode visit the live prefix and never the history.
 	recs     []*recordAccum
+	live     int
 	recIndex map[string]*recordAccum
 }
 
@@ -159,10 +170,16 @@ const smallRecordGroups = 16
 // arrayAccum accumulates the array alternatives of one node: arrays
 // always fuse (both equivalences act on records), so this is one count,
 // the observed length bounds, and the element-collection accumulator.
+//
+// live marks a bucket written since the last reset. Every write path
+// sets it first (accumNode.array), including the direct path whose
+// elements land in elem before EndArray bumps n, so a bucket with live
+// unset holds only clean storage and reset skips it.
 type arrayAccum struct {
 	n              int // arrays absorbed; 0 marks the bucket inactive after a reset
 	count          int64
 	minLen, maxLen int
+	live           bool
 	elem           accumNode
 }
 
@@ -170,12 +187,25 @@ type arrayAccum struct {
 // by name and merged in place, the record count, and how many records
 // were absorbed (nrecs — the denominator of the optionality rule: a
 // field absent from any absorbed record is optional).
+//
+// A slot with seenIn == 0 holds only clean storage: enter bumps seenIn
+// before anything below the slot is written. Under L a live group's
+// table is exactly its label set (see sameLabels), so every slot is
+// live while the group is. Under K (partial) the table is the union of
+// every name the group has seen, and liveSlots indexes the slots with
+// seenIn > 0 in activation order (sortLive restores table order for
+// the walks that need it). reset, seal and absorbAccum visit the live
+// slots only (liveLen/liveAt), never the dead remainder of a K table,
+// however many names it has accumulated.
 type recordAccum struct {
-	key      string // label key, built lazily for the seal ordering
-	keyValid bool
-	nrecs    int
-	count    int64
-	fields   []fieldAccum
+	key       string // label key, built lazily for the seal ordering
+	keyValid  bool
+	partial   bool // K group: slots may be dead while the group is live
+	pos       int  // index in the owning node's recs
+	nrecs     int
+	count     int64
+	fields    []fieldAccum
+	liveSlots []int32 // partial groups only
 }
 
 // fieldAccum is one field slot of a record group. seenIn counts the
@@ -226,10 +256,7 @@ func (n *accumNode) absorb(t *Type, e Equiv) {
 		n.haveStr = true
 		n.strCount += t.Count
 	case KArray:
-		if n.arr == nil {
-			n.arr = &arrayAccum{}
-		}
-		n.arr.absorb(t, e)
+		n.array().absorb(t, e)
 	case KRecord:
 		n.recordGroup(t, e).absorb(t, e)
 	}
@@ -257,37 +284,71 @@ func (a *arrayAccum) absorb(t *Type, e Equiv) {
 // single group under K, the group with t's label set under L.
 func (n *accumNode) recordGroup(t *Type, e Equiv) *recordAccum {
 	if e == EquivKind {
-		if len(n.recs) == 0 {
-			n.recs = append(n.recs, &recordAccum{})
-		}
-		return n.recs[0]
+		return n.use(n.kindGroup())
 	}
 	if n.recIndex != nil {
 		key := labelKey(t)
 		if ra := n.recIndex[key]; ra != nil {
-			return ra
+			return n.use(ra)
 		}
-		ra := &recordAccum{key: key, keyValid: true}
-		n.recs = append(n.recs, ra)
-		n.recIndex[key] = ra
-		return ra
+		return n.use(n.newGroup(key))
 	}
 	for _, ra := range n.recs {
 		if ra.sameLabels(t.Fields) {
-			return ra
+			return n.use(ra)
 		}
 	}
 	// New group: its key is the incoming record's label set (the field
 	// table is still empty; absorb fills it right after).
-	ra := &recordAccum{key: labelKey(t), keyValid: true}
+	return n.use(n.newGroup(labelKey(t)))
+}
+
+// kindGroup returns the single record group of a node under K,
+// creating it on first use.
+func (n *accumNode) kindGroup() *recordAccum {
+	if len(n.recs) == 0 {
+		n.recs = append(n.recs, &recordAccum{partial: true})
+	}
+	return n.recs[0]
+}
+
+// newGroup appends an empty group with the given label key, switching
+// the node to hashed lookup once it holds more than smallRecordGroups.
+func (n *accumNode) newGroup(key string) *recordAccum {
+	ra := &recordAccum{key: key, keyValid: true, pos: len(n.recs)}
 	n.recs = append(n.recs, ra)
-	if len(n.recs) > smallRecordGroups {
+	if n.recIndex != nil {
+		n.recIndex[key] = ra
+	} else if len(n.recs) > smallRecordGroups {
 		n.recIndex = make(map[string]*recordAccum, 2*len(n.recs))
 		for _, g := range n.recs {
 			n.recIndex[g.labelKey()] = g
 		}
 	}
 	return ra
+}
+
+// use marks ra, a group of n about to absorb records, live: a dead
+// group is swapped into the live prefix recs[:live]. Every group lookup
+// ends here, before the caller bumps nrecs.
+func (n *accumNode) use(ra *recordAccum) *recordAccum {
+	if ra.pos >= n.live {
+		other := n.recs[n.live]
+		n.recs[ra.pos], n.recs[n.live] = other, ra
+		other.pos, ra.pos = ra.pos, n.live
+		n.live++
+	}
+	return ra
+}
+
+// array returns the node's array bucket, creating it on first use and
+// marking it live; every write into the bucket goes through here first.
+func (n *accumNode) array() *arrayAccum {
+	if n.arr == nil {
+		n.arr = &arrayAccum{}
+	}
+	n.arr.live = true
+	return n.arr
 }
 
 // sameLabels reports whether the group's label set equals the given
@@ -315,7 +376,6 @@ func (ra *recordAccum) sameLabels(fields []Field) bool {
 func (ra *recordAccum) absorb(t *Type, e Equiv) {
 	ra.nrecs++
 	ra.count += t.Count
-	fs := ra.fields
 	i := 0
 	prev := ""
 	for j := range t.Fields {
@@ -326,21 +386,116 @@ func (ra *recordAccum) absorb(t *Type, e Equiv) {
 			i = 0
 		}
 		prev = f.Name
-		for i < len(fs) && fs[i].name < f.Name {
-			i++
-		}
-		if i == len(fs) || fs[i].name != f.Name {
-			fs = slices.Insert(fs, i, fieldAccum{name: f.Name})
-			ra.keyValid = false
-		}
-		fa := &fs[i]
+		fa, k := ra.enter(i, f.Name, 1)
 		fa.count += f.Count
 		fa.optional = fa.optional || f.Optional
-		fa.seenIn++
 		fa.node.absorb(f.Type, e)
-		i++
+		i = k + 1
 	}
-	ra.fields = fs
+}
+
+// enter is one step of the sorted merge walks: it seeks name from
+// cursor i, inserts a slot in sorted position when the table lacks the
+// name, adds seen to the slot's seenIn (recording a dead slot in
+// liveSlots first) and returns the slot with its index. The caller
+// resumes the walk at the index + 1. The returned pointer is valid
+// until the next enter on the same group.
+func (ra *recordAccum) enter(i int, name string, seen int) (*fieldAccum, int) {
+	i = seekField(ra.fields, i, name)
+	if i == len(ra.fields) {
+		ra.fields = append(ra.fields, fieldAccum{name: name})
+		ra.keyValid = false
+	} else if ra.fields[i].name != name {
+		// A slot inserted mid-table shifts the slots after it.
+		ra.fields = slices.Insert(ra.fields, i, fieldAccum{name: name})
+		ra.keyValid = false
+		for k, s := range ra.liveSlots {
+			if int(s) >= i {
+				ra.liveSlots[k] = s + 1
+			}
+		}
+	}
+	fa := &ra.fields[i]
+	if fa.seenIn == 0 && ra.partial {
+		ra.liveSlots = append(ra.liveSlots, int32(i))
+	}
+	fa.seenIn += seen
+	return fa, i
+}
+
+// seekField returns the first index k >= i with fs[k].name >= name, or
+// len(fs). It gallops from the cursor — probing i, i+2, i+5, i+10, …
+// with the gap doubling — until a probe lands at or past name, then
+// binary-searches the last gap. A slot d places ahead costs
+// O(log d) comparisons, so a dense walk (the next name is at or next to
+// the cursor) stays linear while a sparse one, a few names merged into
+// a wide table, costs O(names · log table) instead of O(table).
+func seekField(fs []fieldAccum, i int, name string) int {
+	lo, hi, gap := i, i, 1
+	cmps := 0
+	for hi < len(fs) {
+		cmps++
+		if fs[hi].name >= name {
+			break
+		}
+		lo = hi + 1
+		hi = lo + gap
+		gap <<= 1
+	}
+	// Every slot below lo sorts before name; fs[hi] (when in range)
+	// does not.
+	hi = min(hi, len(fs))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		cmps++
+		if fs[m].name < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if probe != nil {
+		probe.seekCompares += int64(cmps)
+		probe.seeks++
+	}
+	return lo
+}
+
+// sortLive puts liveSlots in table order, for the walks that must visit
+// live slots by name. When at least a quarter of the table is live (a
+// chunk's worth of sparse documents), collecting the live slots in one
+// pass over the table is cheaper than sorting their indices, and still
+// costs at most four visits per live slot.
+func (ra *recordAccum) sortLive() {
+	if slices.IsSorted(ra.liveSlots) {
+		return
+	}
+	if 4*len(ra.liveSlots) >= len(ra.fields) {
+		ra.liveSlots = ra.liveSlots[:0]
+		for i := range ra.fields {
+			if ra.fields[i].seenIn > 0 {
+				ra.liveSlots = append(ra.liveSlots, int32(i))
+			}
+		}
+		return
+	}
+	slices.Sort(ra.liveSlots)
+}
+
+// liveLen and liveAt enumerate the live slots of a live group, in
+// liveSlots order for a partial (K) group and in table order otherwise.
+func (ra *recordAccum) liveLen() int {
+	if ra.partial {
+		return len(ra.liveSlots)
+	}
+	return len(ra.fields)
+}
+
+func (ra *recordAccum) liveAt(k int) *fieldAccum {
+	if ra.partial {
+		return &ra.fields[ra.liveSlots[k]]
+	}
+	return &ra.fields[k]
 }
 
 // labelKey renders the group's label set exactly as merge.go's labelKey
@@ -371,12 +526,7 @@ func (n *accumNode) empty() bool {
 	if n.arr != nil && n.arr.n > 0 {
 		return false
 	}
-	for _, ra := range n.recs {
-		if ra.nrecs > 0 {
-			return false
-		}
-	}
-	return true
+	return n.live == 0
 }
 
 // seal builds the canonical type of the node: the same buckets, in the
@@ -386,12 +536,7 @@ func (n *accumNode) seal(e Equiv) *Type {
 	if n.haveAny {
 		return &Type{Kind: KAny, Count: n.total}
 	}
-	active := 0
-	for _, ra := range n.recs {
-		if ra.nrecs > 0 {
-			active++
-		}
-	}
+	active := n.live
 	nalts := active
 	if n.haveNull {
 		nalts++
@@ -428,25 +573,19 @@ func (n *accumNode) seal(e Equiv) *Type {
 	if n.haveStr {
 		out = append(out, &Type{Kind: KStr, Count: n.strCount})
 	}
-	if active == 1 || (active > 0 && e == EquivKind) {
-		for _, ra := range n.recs {
-			if ra.nrecs > 0 {
-				out = append(out, ra.seal(e))
-			}
-		}
-	} else if active > 1 {
-		groups := make([]*recordAccum, 0, active)
-		for _, ra := range n.recs {
-			if ra.nrecs > 0 {
-				groups = append(groups, ra)
-			}
-		}
+	if active > 1 {
+		// Canonical order is by label key. Group order inside the live
+		// prefix is otherwise free, so the prefix is sorted in place.
+		groups := n.recs[:active]
 		slices.SortFunc(groups, func(a, b *recordAccum) int {
 			return strings.Compare(a.labelKey(), b.labelKey())
 		})
-		for _, ra := range groups {
-			out = append(out, ra.seal(e))
+		for k, ra := range groups {
+			ra.pos = k
 		}
+	}
+	for _, ra := range n.recs[:active] {
+		out = append(out, ra.seal(e))
 	}
 	if n.arr != nil && n.arr.n > 0 {
 		out = append(out, n.arr.seal(e))
@@ -458,15 +597,13 @@ func (n *accumNode) seal(e Equiv) *Type {
 }
 
 func (ra *recordAccum) seal(e Equiv) *Type {
+	ra.sortLive()
 	var fields []Field
-	for i := range ra.fields {
-		fa := &ra.fields[i]
-		if fa.seenIn == 0 {
-			continue // dead slot retained across a Reset
-		}
-		if fields == nil {
-			fields = make([]Field, 0, len(ra.fields))
-		}
+	if n := ra.liveLen(); n > 0 {
+		fields = make([]Field, 0, n)
+	}
+	for k := range ra.liveLen() {
+		fa := ra.liveAt(k)
 		fields = append(fields, Field{
 			Name:     fa.name,
 			Type:     fa.node.seal(e),
@@ -488,33 +625,65 @@ func (a *arrayAccum) seal(e Equiv) *Type {
 }
 
 // reset clears the node for reuse in place: atom buckets zero, the
-// array bucket and every record group reset recursively, all storage —
-// field tables, group lists, nested nodes — retained. Keeping the group
-// tables is the reuse payoff: a worker absorbing the next chunk (or the
-// next document's arrays) of the same shapes allocates nothing at all.
+// array bucket and the live record groups reset recursively, all
+// storage — field tables, group lists, nested nodes — retained. Keeping
+// the group tables is the reuse payoff: a worker absorbing the next
+// chunk (or the next document's arrays) of the same shapes allocates
+// nothing at all.
+//
+// The cost is O(touched), not O(retained): reset visits the array
+// bucket only when it is live, the groups in the live prefix recs[:live]
+// and, inside each, only the live slots. That rests on the
+// clean-storage invariant kept by every write path (use, enter,
+// array): a group, slot or array bucket is marked live before its
+// counts are bumped or anything below it is written, so whatever is
+// not marked live holds no state to clear. Pooled staging nodes keep
+// every shape they ever staged, and a walk over all of it used to
+// dominate the streamed map phase.
 func (n *accumNode) reset() {
+	if probe != nil {
+		probe.resetVisits++
+	}
 	n.total = 0
 	n.haveAny, n.haveNull, n.haveBool, n.haveInt, n.haveNum, n.haveStr = false, false, false, false, false, false
 	n.nullCount, n.boolCount, n.intCount, n.numCount, n.strCount = 0, 0, 0, 0, 0
-	if n.arr != nil {
-		n.arr.n = 0
-		n.arr.count = 0
-		n.arr.minLen, n.arr.maxLen = 0, 0
-		n.arr.elem.reset()
+	if a := n.arr; a != nil && a.live {
+		a.n = 0
+		a.count = 0
+		a.minLen, a.maxLen = 0, 0
+		a.live = false
+		a.elem.reset()
 	}
-	for _, ra := range n.recs {
+	for _, ra := range n.recs[:n.live] {
 		ra.reset()
 	}
+	n.live = 0
 }
 
 func (ra *recordAccum) reset() {
+	if probe != nil {
+		probe.resetVisits++
+	}
 	ra.nrecs = 0
 	ra.count = 0
-	for i := range ra.fields {
-		fa := &ra.fields[i]
+	for k := range ra.liveLen() {
+		fa := ra.liveAt(k)
 		fa.count = 0
 		fa.optional = false
 		fa.seenIn = 0
 		fa.node.reset()
 	}
+	ra.liveSlots = ra.liveSlots[:0]
+}
+
+// probe, when non-nil, counts accumulator work for the complexity
+// tests (export_test.go): node and group visits made by reset, and the
+// comparisons made by seekField. It is nil outside those tests, which
+// set it only while no other goroutine uses an accumulator.
+var probe *workProbe
+
+type workProbe struct {
+	resetVisits  int64
+	seeks        int64
+	seekCompares int64
 }
