@@ -296,20 +296,25 @@ func newHandler(reg *registry.Registry, cfg handlerConfig) http.Handler {
 		"Ingest calls that ended in a pipeline error (malformed document, over-limit or corrupt body).")
 	rateLimited := prom.Counter("jsinferd_rate_limited_total",
 		"Ingest requests rejected by a collection quota (429s).")
+	// Every registry gauge of one scrape reads one registry.Stats taken
+	// as the scrape starts: a single List, sort and schema-size walk per
+	// scrape, and all the gauges report the same moment.
+	var scraped registry.Stats
+	prom.BeforeRender(func() { scraped = reg.Stats() })
 	prom.Gauge("jsinferd_registry_collections", "Live collections.",
-		func() float64 { return float64(reg.Stats().Collections) })
+		func() float64 { return float64(scraped.Collections) })
 	prom.Gauge("jsinferd_registry_docs", "Documents summarised across all collections.",
-		func() float64 { return float64(reg.Stats().Docs) })
+		func() float64 { return float64(scraped.Docs) })
 	prom.Gauge("jsinferd_registry_schema_nodes", "Sealed schema nodes across all collection schemas.",
-		func() float64 { return float64(reg.Stats().SchemaNodes) })
+		func() float64 { return float64(scraped.SchemaNodes) })
 	prom.Gauge("jsinferd_registry_symbols", "Interned key symbols in the shared symbol table.",
-		func() float64 { return float64(reg.Stats().Symbols) })
+		func() float64 { return float64(scraped.Symbols) })
 	// The pipeline flight recorder, aggregated across live collections.
 	// Function-backed gauges reading the same registry snapshots
 	// /v1/stats serves, so the two surfaces reconcile exactly once
 	// ingest quiesces (counters reset when a collection is deleted,
 	// exactly like the registry's own per-collection accounting).
-	pipelineGauges(prom, func() core.StatsSnapshot { return reg.Stats().Pipeline })
+	pipelineGauges(prom, func() core.StatsSnapshot { return scraped.Pipeline })
 	// Runtime gauges back the -debug-addr pprof endpoints: the scrape
 	// shows *that* goroutines or heap grew, the profiles show *why*.
 	prom.Gauge("jsinferd_goroutines", "Live goroutines.",

@@ -38,6 +38,11 @@ import (
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
+
+	// render serialises Render, so the state a BeforeRender hook
+	// captures belongs to exactly one scrape while its gauges read it.
+	render  sync.Mutex
+	prepare []func()
 }
 
 // family is one named metric family: a kind, help text, a fixed label
@@ -98,6 +103,17 @@ func (r *Registry) Gauge(name, help string, fn func() float64) {
 	f.mu.Lock()
 	f.gauge = fn
 	f.mu.Unlock()
+}
+
+// BeforeRender registers fn to run at the start of every Render, before
+// any gauge is read. Renders are serialised, so gauges may read state fn
+// captured without further locking: several gauges computed from one
+// expensive snapshot then cost one snapshot per scrape, and all of them
+// report the same moment.
+func (r *Registry) BeforeRender(fn func()) {
+	r.mu.Lock()
+	r.prepare = append(r.prepare, fn)
+	r.mu.Unlock()
 }
 
 // HistogramVec registers a histogram family over the given buckets
@@ -286,7 +302,10 @@ func formatFloat(v float64) string {
 // Render writes every family in the text exposition format, families
 // sorted by name and series by label values.
 func (r *Registry) Render() string {
+	r.render.Lock()
+	defer r.render.Unlock()
 	r.mu.Lock()
+	prepare := r.prepare
 	names := make([]string, 0, len(r.fams))
 	for name := range r.fams {
 		names = append(names, name)
@@ -297,6 +316,9 @@ func (r *Registry) Render() string {
 		fams = append(fams, r.fams[name])
 	}
 	r.mu.Unlock()
+	for _, fn := range prepare {
+		fn()
+	}
 
 	var b strings.Builder
 	for _, f := range fams {

@@ -204,6 +204,40 @@ func TestSameSeriesSharedAndPanicOnMismatch(t *testing.T) {
 	reg.Gauge("x_total", "clash", func() float64 { return 0 })
 }
 
+// TestBeforeRenderOneSnapshotPerScrape: a BeforeRender hook runs once
+// per scrape, before the gauges, and concurrent scrapes never see each
+// other's captured state — every gauge of one scrape reports the same
+// snapshot however many gauges read it.
+func TestBeforeRenderOneSnapshotPerScrape(t *testing.T) {
+	reg := NewRegistry()
+	var calls, snap int
+	reg.BeforeRender(func() {
+		calls++
+		snap = calls
+	})
+	for _, name := range []string{"a", "b", "c", "d"} {
+		reg.Gauge(name, "Snapshot number.", func() float64 { return float64(snap) })
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				samples := validateExposition(t, reg.Render())
+				if a := samples["a"]; samples["b"] != a || samples["c"] != a || samples["d"] != a {
+					t.Errorf("one scrape mixed snapshots: %v", samples)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if calls != 200 {
+		t.Errorf("hook ran %d times over 200 scrapes, want 200", calls)
+	}
+}
+
 func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("n_total", "N.")

@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// The experiment tests assert the SHAPES DESIGN.md promises — who
-// wins, what grows, where crossovers fall — not absolute numbers.
+// The experiment tests assert the shapes each experiment is built to
+// show — who wins, what grows, where crossovers fall — not absolute
+// numbers.
 
 func cell(t *testing.T, tab *Table, row, col int) string {
 	t.Helper()

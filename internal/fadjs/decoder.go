@@ -3,7 +3,7 @@
 // Optimizations" (VLDB 2017) — the §4.2 tool built on the assumption
 // "that most applications never use all the fields of input objects".
 //
-// Substitution note (recorded in DESIGN.md): Fad.js installs its
+// Substitution note: Fad.js installs its
 // speculation in the Graal.js JIT; stdlib Go has no JIT, so the
 // speculation here lives in data instead of code. Each Decoder is one
 // "call site" owning a small most-recently-used cache of object

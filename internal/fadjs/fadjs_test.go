@@ -10,7 +10,7 @@ import (
 )
 
 func TestDecodeEquivalentToGeneric(t *testing.T) {
-	// Property (per DESIGN.md): fadjs decode == generic parse, across
+	// Property: fadjs decode == generic parse, across
 	// generators, including after the shape cache warms up.
 	gens := []genjson.Generator{
 		genjson.Twitter{Seed: 41},

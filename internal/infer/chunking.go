@@ -23,9 +23,10 @@ import (
 //     buffers (chunkBuf). Chunks alias the buffer they were read into
 //     and hold a reference on it; the worker releases the reference
 //     once the accumulator has absorbed the chunk, and a fully released
-//     buffer returns to the run's pool for the reader to refill — so
-//     the steady state recycles a handful of arrays instead of
-//     allocating a fresh pending array per compaction.
+//     buffer returns to a process-wide pool for a reader to refill — so
+//     the steady state recycles a handful of arrays, within a run and
+//     across runs, instead of allocating a fresh array per compaction
+//     or per run.
 //   - splitChunksBytes splits a caller-owned byte slice in place:
 //     chunks alias the input directly, nothing is copied, nothing is
 //     pooled, and the steady state performs zero chunking allocations
@@ -104,12 +105,11 @@ const maxInitialChunkBuf = 64 << 20
 // goroutine holds one reference while it fills the buffer; every chunk
 // emitted from it holds another, released by the worker once the chunk
 // has been absorbed. When the last reference drops the array returns to
-// its pool, ready for the reader to refill — the recycling that
-// replaces the old fresh-array-per-compaction discipline.
+// the shared pool, ready for a reader — of this run or another — to
+// refill.
 type chunkBuf struct {
 	data []byte // full backing array, sliced up to capacity
 	refs atomic.Int32
-	pool *chunkPool
 }
 
 // acquire adds a reference (one per aliasing chunk).
@@ -124,28 +124,33 @@ func (b *chunkBuf) acquire() {
 // buffer).
 func (b *chunkBuf) release() {
 	if b != nil && b.refs.Add(-1) == 0 {
-		b.pool.put(b)
+		chunkArrays.Put(b)
 	}
 }
 
-// chunkPool recycles chunk arrays within one engine run. It is a thin
-// wrapper over sync.Pool: gets that miss allocate a fresh array, gets
-// that hit count into the BuffersRecycled stat. The pool is per run —
-// created by the engine entry point, garbage once the run ends — so a
-// benchmark iteration or an ingest request starts cold and recycles
-// within itself, and no chunk can ever alias another run's buffer.
+// chunkArrays holds released chunk arrays for every reader-path run of
+// the process, so back-to-back runs (a daemon's ingest requests, a
+// benchmark's iterations) reuse arrays instead of allocating a fresh
+// one each. Sharing is safe because of the refcount: an array enters
+// the pool only when its last reference — the reader's or any chunk's
+// still being absorbed — is released, so no live chunk of any run ever
+// aliases an array another run is refilling.
+var chunkArrays sync.Pool
+
+// chunkPool is one run's view of chunkArrays: gets that miss allocate a
+// fresh array, gets that hit count into the run's BuffersRecycled stat.
 type chunkPool struct {
-	p        sync.Pool
 	recycled int64
 }
 
 // get returns a buffer whose array holds at least minCap bytes, with
 // one reference (the caller's) held. Pooled buffers whose capacity is
 // too small are dropped rather than grown; steady-state capacities are
-// uniform, so drops only happen while an unsplittable run is growing.
+// uniform, so drops only happen while an unsplittable run is growing
+// or when runs with different byte targets share the process.
 func (cp *chunkPool) get(minCap int) *chunkBuf {
 	for {
-		v := cp.p.Get()
+		v := chunkArrays.Get()
 		if v == nil {
 			break
 		}
@@ -156,15 +161,11 @@ func (cp *chunkPool) get(minCap int) *chunkBuf {
 			return b
 		}
 	}
-	b := &chunkBuf{data: make([]byte, minCap), pool: cp}
+	b := &chunkBuf{data: make([]byte, minCap)}
 	b.data = b.data[:cap(b.data)]
 	b.refs.Store(1)
 	return b
 }
-
-// put returns a fully released buffer to the pool. Called from
-// chunkBuf.release, potentially on a worker goroutine.
-func (cp *chunkPool) put(b *chunkBuf) { cp.p.Put(b) }
 
 // takeRecycled harvests the recycle count for the stats frame. Only the
 // reader goroutine calls get, so the plain counter needs no atomics.

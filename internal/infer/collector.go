@@ -17,10 +17,12 @@ import (
 // merge inside typelang dominates the streamed profile). The tree splits
 // the fold: N leaf collectors each own a shard of the chunk results and
 // absorb their share into a typelang.Accum on their own goroutine,
-// sealing to an immutable partial only on publish, and a root fuses the
-// shard partials through an accumulator of its own — on demand for
-// snapshots, and in the background whenever a leaf publishes, so reads
-// mostly hit a cache.
+// sealing to an immutable partial only on publish. The root fuse of the
+// shard partials happens only on read: Snapshot folds them through an
+// accumulator of its own and memoises the result by the leaf generation
+// vector, so a read of a quiet tree is a cache hit, and writes never pay
+// for a fuse of the whole schema. Docs reads the document count alone,
+// without fusing.
 //
 // By associativity and commutativity of the merge (Accum seals are
 // pinned byte-identical to the MergeAll reference fold) the tree's
@@ -54,7 +56,7 @@ const leafQueue = 2
 
 // leafState is a leaf's published partial: the merged type and document
 // count of everything folded so far, plus a generation that bumps on
-// every publish (the root's cache key).
+// every publish (one element of the root's cache key).
 type leafState struct {
 	acc  *typelang.Type
 	docs int64
@@ -83,7 +85,7 @@ type leafCollector struct {
 	done  chan struct{}
 }
 
-func (l *leafCollector) run(e typelang.Equiv, poke chan<- struct{}, st *PipelineStats) {
+func (l *leafCollector) run(e typelang.Equiv, st *PipelineStats) {
 	defer close(l.done)
 	var (
 		acc     = typelang.NewAccum(e)
@@ -109,10 +111,6 @@ func (l *leafCollector) run(e typelang.Equiv, poke chan<- struct{}, st *Pipeline
 			frame.BatchPublishes++
 			frame.Seals++
 			frame.flush(st)
-		}
-		select {
-		case poke <- struct{}{}: // wake the root fuser
-		default: // a fuse is already pending; it will see this publish
 		}
 	}
 	for msg := range l.in {
@@ -142,18 +140,17 @@ func (l *leafCollector) run(e typelang.Equiv, poke chan<- struct{}, st *Pipeline
 // ShardedCollector is the collector tree. Add distributes chunk results
 // round-robin, in blocks of collectorBatch, across the leaves (each Add
 // is one channel send — the caller never does merge work), Snapshot
-// reads a consistent-per-leaf view without blocking any leaf, Flush
-// makes everything already added visible to subsequent snapshots, and
+// reads a consistent-per-leaf view without blocking any leaf and fuses
+// it (the only place that does), Docs counts documents without fusing,
+// Flush makes everything already added visible to subsequent reads, and
 // Close drains the tree and returns the final fold.
 //
-// Add and Snapshot may be called concurrently from any number of
+// Add, Docs and Snapshot may be called concurrently from any number of
 // goroutines. Add after Close panics.
 type ShardedCollector struct {
 	equiv  typelang.Equiv
 	leaves []*leafCollector
 	rr     atomic.Uint64 // chunk types dealt so far (leafFor)
-	poke   chan struct{}
-	fused  chan struct{} // closed when the root fuser exits
 
 	// root caches the fused type keyed by the per-leaf generation
 	// vector — the exact set of publishes the fuse saw. (A sum would
@@ -193,8 +190,6 @@ func NewShardedCollectorStats(shards int, e typelang.Equiv, st *PipelineStats) *
 	c := &ShardedCollector{
 		equiv:  e,
 		leaves: make([]*leafCollector, shards),
-		poke:   make(chan struct{}, 1),
-		fused:  make(chan struct{}),
 		stats:  st,
 	}
 	for i := range c.leaves {
@@ -204,20 +199,9 @@ func NewShardedCollectorStats(shards int, e typelang.Equiv, st *PipelineStats) *
 		}
 		l.state.Store(&leafState{acc: typelang.Bottom})
 		c.leaves[i] = l
-		go l.run(e, c.poke, st)
+		go l.run(e, st)
 	}
-	go c.rootLoop()
 	return c
-}
-
-// rootLoop is the periodic root fuse: every leaf publish pokes it (the
-// buffered channel coalesces bursts), and it refreshes the cached fused
-// type so snapshot reads are mostly cache hits.
-func (c *ShardedCollector) rootLoop() {
-	defer close(c.fused)
-	for range c.poke {
-		c.Snapshot()
-	}
 }
 
 // gather loads every leaf's published state: a consistent view per leaf,
@@ -285,9 +269,10 @@ func (c *ShardedCollector) AddBatch(ts []*typelang.Type, docs int64) {
 }
 
 // Flush blocks until every Add that happened before the call is folded
-// and visible to Snapshot. Concurrent Adds by other goroutines may or
-// may not be included. Ingest paths flush before reporting completion,
-// which is what gives a client read-your-writes on the next snapshot.
+// and visible to Snapshot and Docs. Concurrent Adds by other goroutines
+// may or may not be included. Ingest paths flush before reporting
+// completion, which is what gives a client read-your-writes on the next
+// snapshot.
 func (c *ShardedCollector) Flush() {
 	var wg sync.WaitGroup
 	wg.Add(len(c.leaves))
@@ -297,12 +282,25 @@ func (c *ShardedCollector) Flush() {
 	wg.Wait()
 }
 
+// Docs returns the document count of everything the leaves have
+// published: the sum of their published counts, with no fuse. It is
+// what an ingest reports as the collection total; only a read of the
+// schema (Snapshot) pays for fusing the leaf partials.
+func (c *ShardedCollector) Docs() int64 {
+	var docs int64
+	for _, l := range c.leaves {
+		docs += l.state.Load().docs
+	}
+	return docs
+}
+
 // Snapshot returns the merged type and document count of everything the
 // leaves have published. It never blocks Add or the leaves: it loads the
-// published partials, serves the root's cached fuse when it is current,
-// and otherwise fuses inline. Chunk results buffered inside a leaf but
-// not yet merged are not visible until that leaf's next publish (or a
-// Flush); successive snapshots only ever grow.
+// published partials, serves the root's cached fuse when the leaf
+// generation vector is unchanged since it was fused, and otherwise
+// fuses inline. Chunk results buffered inside a leaf but not yet merged
+// are not visible until that leaf's next publish (or a Flush);
+// successive snapshots only ever grow.
 func (c *ShardedCollector) Snapshot() (*typelang.Type, int64) {
 	alts, docs, gens := c.gather()
 	c.root.mu.Lock()
@@ -342,8 +340,8 @@ func (c *ShardedCollector) Snapshot() (*typelang.Type, int64) {
 }
 
 // Close drains the tree — every pending Add is folded — stops the leaf
-// and root goroutines, and returns the final merged type and document
-// count. The collector must not be used after Close.
+// goroutines, and returns the final merged type and document count. The
+// collector must not be used after Close.
 func (c *ShardedCollector) Close() (*typelang.Type, int64) {
 	for _, l := range c.leaves {
 		close(l.in)
@@ -351,7 +349,5 @@ func (c *ShardedCollector) Close() (*typelang.Type, int64) {
 	for _, l := range c.leaves {
 		<-l.done
 	}
-	close(c.poke)
-	<-c.fused
 	return c.Snapshot()
 }

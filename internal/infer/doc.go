@@ -58,7 +58,8 @@
 // collector tree (ShardedCollector, collector.go): N leaf collectors
 // absorb their shard of the chunk results into live typelang.Accums on
 // their own goroutines (sealing on publish) and a root accumulator
-// fuses the sealed partials, so the reduce itself parallelises instead
+// fuses the sealed partials when the result is read (Snapshot, Close),
+// never in the background, so the reduce itself parallelises instead
 // of serialising on one goroutine — and the same tree, left open, is
 // the live-merge engine behind internal/registry's long-running
 // collections (InferStreamInto). ReduceShards: 1 keeps the legacy

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/genjson"
 	"repro/internal/jsontext"
+	"repro/internal/jsonvalue"
 	"repro/internal/typelang"
 )
 
@@ -220,6 +221,10 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 	if len(data) < 3*chunkReadSize {
 		t.Fatalf("fixture too small to force compactions: %d bytes", len(data))
 	}
+	// The chunk-array pool is shared across runs: start from an empty
+	// one, so the run's first buffer is a fresh allocation and any
+	// recycle counted below comes from this run's compactions.
+	drainChunkArrays()
 	var st PipelineStats
 	if err := readChunks(bytes.NewReader(data), chunkTargets{docs: 64}, &scanSplitter{}, &st,
 		func(ch byteChunk) bool { ch.buf.release(); return true }); err != nil {
@@ -252,6 +257,67 @@ func TestReadChunksCompactionReuse(t *testing.T) {
 	held.buf.release()
 	if s := st.Snapshot(); s.BuffersRecycled == 0 {
 		t.Errorf("held-chunk run recycled no buffers; the pool should round-trip freed arrays")
+	}
+}
+
+// drainChunkArrays empties the process-wide chunk-array pool.
+func drainChunkArrays() {
+	for chunkArrays.Get() != nil {
+	}
+}
+
+// TestSharedChunkPoolConcurrentRuns runs concurrent reader-path
+// pipelines over different bodies, all drawing on the one process-wide
+// chunk-array pool (run it under -race): each run's schema and count
+// must equal the InferParallel DOM oracle over its own documents, so an
+// array refilled by one run while a chunk of another still aliases it
+// would show as a wrong schema as well as a data race. Successive runs
+// must also reuse each other's arrays: BuffersRecycled, summed over
+// the rounds, is positive.
+func TestSharedChunkPoolConcurrentRuns(t *testing.T) {
+	const runs, rounds = 4, 3
+	bodies := make([][]byte, runs)
+	oracles := make([]string, runs)
+	for i := range bodies {
+		var docs []*jsonvalue.Value
+		if i%2 == 0 {
+			docs = genjson.Collection(genjson.Twitter{Seed: int64(200 + i)}, 400)
+		} else {
+			docs = genjson.Collection(genjson.GitHub{Seed: int64(200 + i)}, 400)
+		}
+		bodies[i] = jsontext.MarshalLines(docs)
+		oracles[i] = InferParallel(docs, Options{Equiv: typelang.EquivLabel, Workers: 2}).StringCounted()
+	}
+	var recycled int64
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		stats := make([]PipelineStats, runs)
+		for i := range bodies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				col := NewShardedCollector(2, typelang.EquivLabel)
+				n, err := InferStreamInto(bytes.NewReader(bodies[i]), Options{
+					Equiv: typelang.EquivLabel, Workers: 2, Batch: 16, Stats: &stats[i],
+				}, col)
+				got, docs := col.Close()
+				switch {
+				case err != nil:
+					t.Errorf("round %d body %d: %v", round, i, err)
+				case n != 400 || docs != 400:
+					t.Errorf("round %d body %d: committed %d, collector holds %d, want 400", round, i, n, docs)
+				case got.StringCounted() != oracles[i]:
+					t.Errorf("round %d body %d: schema differs from the DOM oracle", round, i)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range stats {
+			recycled += stats[i].Snapshot().BuffersRecycled
+		}
+	}
+	if recycled == 0 {
+		t.Errorf("%d runs recycled no chunk arrays; successive runs should reuse released arrays", runs*rounds)
 	}
 }
 

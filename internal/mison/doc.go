@@ -39,7 +39,7 @@
 // absorber falls back per record to the token walker, keeping
 // absorption byte-identical to the token path on every input.
 //
-// Substitution note (recorded in DESIGN.md): the original uses AVX2
+// Substitution note: the original uses AVX2
 // SIMD to build per-character bitmaps. Go with stdlib only has no
 // vector intrinsics, so the bitmap pipeline here is word-at-a-time over
 // packed uint64 bitmaps (SWAR, swar.go): the same four-phase structure

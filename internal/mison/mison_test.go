@@ -160,7 +160,7 @@ func TestParseRecordSimpleProjection(t *testing.T) {
 }
 
 func TestProjectionEquivalentToFullParse(t *testing.T) {
-	// Property (per DESIGN.md): Mison projection == full-parse + path
+	// Property: Mison projection == full-parse + path
 	// lookup, across generators and field orders.
 	gens := []genjson.Generator{
 		genjson.Twitter{Seed: 31},

@@ -8,12 +8,16 @@
 // Each collection owns a sharded collector tree (infer.ShardedCollector):
 // ingest requests run infer.InferStreamInto over their body, committing
 // chunk results into the tree where N leaf collectors absorb them into
-// live typelang.Accums in parallel and a root accumulator fuses the
-// sealed shard partials — sealing happens lazily, on publish and on
-// read, memoised by leaf generation, so Get/List on a quiet collection
-// reuse the previous sealed snapshot. Snapshot reads (Get, List, Stats)
-// load the leaves' published partials without taking any lock the
-// ingest path holds, so reads never block writes. Delete removes a
+// live typelang.Accums in parallel and seal a partial on each publish.
+// The root fuse of those partials happens only on read: an ingest
+// reports the collection's document total from the leaves' published
+// counts and never fuses, while the first Get/List/Stats after an
+// ingest fuses once and memoises the result by the leaf generation
+// vector, so further reads of a quiet collection reuse that sealed
+// snapshot. An ingest therefore costs its body, not the size of the
+// retained schema; the fuse cost falls on reads. Snapshot reads load the
+// leaves' published partials without taking any lock the ingest path
+// holds, so reads never block writes. Delete removes a
 // collection and shuts its tree down, waiting out in-flight ingests;
 // the name is immediately reusable.
 //

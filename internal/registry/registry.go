@@ -93,9 +93,9 @@ type Registry struct {
 }
 
 // collection is one named schema accumulator: a live collector tree
-// (whose leaves absorb into typelang.Accums and whose root seals
-// lazily, memoised by leaf generation — so Get/List on a quiet
-// collection reuse the previous sealed snapshot) plus counters.
+// (whose leaves absorb into typelang.Accums and whose root fuses only
+// when read, memoised by the leaf generation vector — so Get/List on a
+// quiet collection reuse the previous sealed snapshot) plus counters.
 type collection struct {
 	name    string
 	equiv   typelang.Equiv // fixed at creation
@@ -262,8 +262,7 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 	endQuota()
 	if rlErr != nil {
 		c.limited.Add(1)
-		_, total := c.col.Snapshot()
-		return IngestResult{Collection: name, TotalDocs: total, Version: c.version.Load()}, rlErr
+		return IngestResult{Collection: name, TotalDocs: c.col.Docs(), Version: c.version.Load()}, rlErr
 	}
 	// Each call records into a private flight recorder so its snapshot
 	// is an exact per-request delta; the delta then folds into the
@@ -296,8 +295,9 @@ func (r *Registry) IngestWith(name string, rd io.Reader, co CollectionOptions) (
 		err = fmt.Errorf("registry: ingest into %q: %w", name, err)
 	}
 	v := c.version.Add(1)
-	_, total := c.col.Snapshot()
-	return IngestResult{Collection: name, Docs: n, TotalDocs: total, Bytes: bytes, Version: v, Stats: delta}, err
+	// The total is a sum of the leaves' published counts: an ingest
+	// never fuses the schema, only a read does.
+	return IngestResult{Collection: name, Docs: n, TotalDocs: c.col.Docs(), Bytes: bytes, Version: v, Stats: delta}, err
 }
 
 // countReader counts payload bytes for the quota charge and the ingest
@@ -351,7 +351,8 @@ type Snapshot struct {
 
 // Get returns a snapshot of the named collection. It never blocks
 // ingest: the read loads the collector leaves' published partials and
-// the root's cached fuse.
+// serves the root's cached fuse, fusing inline (once) when an ingest
+// has published since the last read.
 func (r *Registry) Get(name string) (Snapshot, bool) {
 	r.mu.RLock()
 	c := r.cols[name]

@@ -22,9 +22,9 @@ func parseCompactJSON(data []byte) (*jsonvalue.Value, error) {
 // Column is one byte-buffer of the columnar layout. Buffers are FIFO
 // streams written and read in document walk order, which is what lets
 // reassembly work for arbitrary nesting without Dremel-style
-// repetition levels (a simplification relative to Parquet, recorded in
-// DESIGN.md: per-document varint counts play the role of repetition
-// levels, presence bytes the role of definition levels).
+// repetition levels (a simplification relative to Parquet:
+// per-document varint counts play the role of repetition levels,
+// presence bytes the role of definition levels).
 type Column struct {
 	Path string
 	Buf  []byte

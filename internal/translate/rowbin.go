@@ -5,7 +5,7 @@
 // columnar format, both driven by a typelang schema (typically one
 // produced by internal/infer).
 //
-// Substitution note (recorded in DESIGN.md): the real Avro and Parquet
+// Substitution note: the real Avro and Parquet
 // are large framework ecosystems; what §5 needs is their *shape* —
 // schema-driven binary rows (no field names on the wire, varint-packed
 // scalars) and column-major storage with per-column encoding. Both
